@@ -52,17 +52,9 @@ pub fn rgb_pixel_to_hsv(r: u8, g: u8, b: u8) -> [u8; 3] {
 /// `tests/fused_vs_reference.rs` proves it over the full input space).
 #[inline]
 pub fn rgb_pixel_to_hsv_int(r: u8, g: u8, b: u8) -> [u8; 3] {
-    let (ri, gi, bi) = (r as i32, g as i32, b as i32);
-    let v = ri.max(gi).max(bi);
-    let min = ri.min(gi).min(bi);
-    let delta = v - min;
-
-    // round(255·Δ/V) = floor((510·Δ + V) / (2·V)).
-    let s = if v > 0 {
-        (510 * delta + v) / (2 * v)
-    } else {
-        0
-    };
+    let [s, v] = rgb_pixel_to_sv_int(r, g, b);
+    let (ri, gi, bi, v) = (r as i32, g as i32, b as i32, v as i32);
+    let delta = v - ri.min(gi).min(bi);
 
     let h = if delta == 0 {
         0
@@ -81,7 +73,23 @@ pub fn rgb_pixel_to_hsv_int(r: u8, g: u8, b: u8) -> [u8; 3] {
         ((num + delta) / (2 * delta)).min(179)
     };
 
-    [h as u8, s as u8, v as u8]
+    [h as u8, s, v as u8]
+}
+
+/// Saturation and value of one 8-bit RGB pixel: the `[S, V]` of
+/// [`rgb_pixel_to_hsv_int`] (and so of [`rgb_pixel_to_hsv`]) without the
+/// hue, for callers that never read it.
+#[inline]
+pub fn rgb_pixel_to_sv_int(r: u8, g: u8, b: u8) -> [u8; 2] {
+    let v = r.max(g).max(b) as u32;
+    let delta = v - r.min(g).min(b) as u32;
+    // round(255·Δ/V) = floor((510·Δ + V) / (2·V)), at most 255 as Δ ≤ V.
+    let s = if v > 0 {
+        (510 * delta + v) / (2 * v)
+    } else {
+        0
+    };
+    [s as u8, v as u8]
 }
 
 /// Converts one OpenCV-convention HSV pixel back to 8-bit RGB.
@@ -265,6 +273,20 @@ mod tests {
                 rgb_pixel_to_hsv(r, g, b),
                 "int/float HSV mismatch at ({r},{g},{b})"
             );
+        }
+    }
+
+    #[test]
+    fn sv_matches_float_conversion() {
+        // The exhaustive proof of S and V is the 2^24 sweep over
+        // `rgb_pixel_to_hsv_int`, which computes them with this function.
+        for r in (0..=255u8).step_by(3) {
+            for g in (0..=255u8).step_by(5) {
+                for b in 0..=255u8 {
+                    let [_, s, v] = rgb_pixel_to_hsv(r, g, b);
+                    assert_eq!(rgb_pixel_to_sv_int(r, g, b), [s, v], "({r},{g},{b})");
+                }
+            }
         }
     }
 

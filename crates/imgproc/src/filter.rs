@@ -122,15 +122,25 @@ pub fn box_blur(src: &Image<u8>, radius: usize) -> Image<u8> {
 
 /// Median filter over a `(2 * radius + 1)²` neighbourhood, per channel,
 /// with replicated borders — OpenCV's `medianBlur`.
+///
+/// Radius 1 runs an exact min/max network over sorted columns; larger
+/// radii select the middle of each gathered window.
 pub fn median_filter(src: &Image<u8>, radius: usize) -> Image<u8> {
-    if radius == 0 {
+    let (w, h) = src.dimensions();
+    if radius == 0 || w == 0 || h == 0 {
         return src.clone();
     }
+    if radius == 1 {
+        return median3x3(src);
+    }
+    median_select(src, radius)
+}
+
+/// Generic median: gathers every window and selects its middle element.
+/// Also the test oracle for [`median3x3`].
+fn median_select(src: &Image<u8>, radius: usize) -> Image<u8> {
     let (w, h) = src.dimensions();
     let c = src.channels();
-    if w == 0 || h == 0 {
-        return src.clone();
-    }
     let mut out = Image::<u8>::new(w, h, c);
     let run_row = |y: usize, dst_row: &mut [u8]| {
         // One histogram-free window buffer reused per row (small kernels).
@@ -157,11 +167,119 @@ pub fn median_filter(src: &Image<u8>, radius: usize) -> Image<u8> {
             .enumerate()
             .for_each(|(y, row)| run_row(y, row));
     } else {
-        let stride = w * c;
-        for y in 0..h {
-            let row_start = y * stride;
-            let dst = &mut out.as_mut_slice()[row_start..row_start + stride];
-            run_row(y, dst);
+        for (y, row) in out.as_mut_slice().chunks_exact_mut(w * c).enumerate() {
+            run_row(y, row);
+        }
+    }
+    out
+}
+
+#[inline(always)]
+fn min3(a: u8, b: u8, c: u8) -> u8 {
+    a.min(b).min(c)
+}
+
+#[inline(always)]
+fn max3(a: u8, b: u8, c: u8) -> u8 {
+    a.max(b).max(c)
+}
+
+#[inline(always)]
+fn med3(a: u8, b: u8, c: u8) -> u8 {
+    a.min(b).max(a.max(b).min(c))
+}
+
+/// One row's vertical triples, each sorted into `lo ≤ mid ≤ hi`.
+struct ColumnSort {
+    lo: Vec<u8>,
+    mid: Vec<u8>,
+    hi: Vec<u8>,
+}
+
+impl ColumnSort {
+    fn new(stride: usize) -> Self {
+        Self {
+            lo: vec![0; stride],
+            mid: vec![0; stride],
+            hi: vec![0; stride],
+        }
+    }
+
+    /// Sorts the samples of `above`, `row` and `below` at every index.
+    fn sort(&mut self, above: &[u8], row: &[u8], below: &[u8]) {
+        let sorted = self.lo.iter_mut().zip(&mut self.mid).zip(&mut self.hi);
+        for (((lo, mid), hi), ((&a, &b), &c)) in sorted.zip(above.iter().zip(row).zip(below)) {
+            *lo = min3(a, b, c);
+            *mid = med3(a, b, c);
+            *hi = max3(a, b, c);
+        }
+    }
+
+    /// Writes the median of the 3×3 window around every sample: with
+    /// each column sorted, it is `med3(max3(lo), med3(mid), min3(hi))`
+    /// over the three columns, which sit `c` samples apart in the row.
+    fn median_into(&self, c: usize, dst: &mut [u8]) {
+        let n = dst.len();
+        let (lo, mid, hi) = (&self.lo[..n], &self.mid[..n], &self.hi[..n]);
+        let window = |l: usize, i: usize, r: usize| {
+            med3(
+                max3(lo[l], lo[i], lo[r]),
+                med3(mid[l], mid[i], mid[r]),
+                min3(hi[l], hi[i], hi[r]),
+            )
+        };
+        if n <= c {
+            // One column: the replicated border makes it its own neighbour.
+            for (i, d) in dst.iter_mut().enumerate() {
+                *d = window(i, i, i);
+            }
+            return;
+        }
+        for i in 0..c {
+            dst[i] = window(i, i, i + c);
+            dst[n - c + i] = window(n - 2 * c + i, n - c + i, n - c + i);
+        }
+        // Interior: three shifted views of each sorted row, so the loop is
+        // branch-free u8 min/max over equal-length slices.
+        let m = n - 2 * c;
+        let (lo_l, lo_c, lo_r) = (&lo[..m], &lo[c..c + m], &lo[2 * c..]);
+        let (mid_l, mid_c, mid_r) = (&mid[..m], &mid[c..c + m], &mid[2 * c..]);
+        let (hi_l, hi_c, hi_r) = (&hi[..m], &hi[c..c + m], &hi[2 * c..]);
+        for (i, d) in dst[c..n - c].iter_mut().enumerate() {
+            *d = med3(
+                max3(lo_l[i], lo_c[i], lo_r[i]),
+                med3(mid_l[i], mid_c[i], mid_r[i]),
+                min3(hi_l[i], hi_c[i], hi_r[i]),
+            );
+        }
+    }
+}
+
+/// Exact 3×3 median with replicated borders. Each vertical triple is
+/// sorted once per row; the window median then follows from the sorted
+/// columns by min/max alone (see DESIGN.md, "Filter hot path").
+fn median3x3(src: &Image<u8>) -> Image<u8> {
+    let (w, h) = src.dimensions();
+    let c = src.channels();
+    let stride = w * c;
+    let mut out = Image::<u8>::new(w, h, c);
+    let run_row = |y: usize, cols: &mut ColumnSort, dst: &mut [u8]| {
+        cols.sort(
+            src.row(y.saturating_sub(1)),
+            src.row(y),
+            src.row((y + 1).min(h - 1)),
+        );
+        cols.median_into(c, dst);
+    };
+    if w * h >= PAR_THRESHOLD {
+        out.as_mut_slice()
+            .par_chunks_exact_mut(stride)
+            .enumerate()
+            .for_each(|(y, row)| run_row(y, &mut ColumnSort::new(stride), row));
+    } else {
+        let mut cols = ColumnSort::new(stride);
+        for (y, row) in out.as_mut_slice().chunks_exact_mut(stride).enumerate() {
+            run_row(y, &mut cols, row);
         }
     }
     out
@@ -214,30 +332,26 @@ pub fn box_blur_f32(src: &Image<f32>, radius: usize) -> Image<f32> {
         }
     }
 
-    // Vertical pass (column-wise running sums, parallel over columns by
-    // transposing the work onto row chunks of the output).
+    // Vertical pass: one sweep down the rows, carrying a running sum per
+    // column. Each column sees exactly the add/subtract sequence of a walk
+    // down that column alone, so the result is independent of the loop
+    // order; sweeping whole rows keeps every access sequential, which on a
+    // 2048² plane beats a column-parallel walk (see DESIGN.md).
     let mut out = Image::<f32>::new(w, h, 1);
-    let tmp_ref = &tmp;
-    let col_sum = |x: usize, y: isize| tmp_ref[(y.clamp(0, h as isize - 1) as usize) * w + x];
-    // Running sums per column require sequential traversal in y; process
-    // columns independently.
-    let mut columns: Vec<Vec<f32>> = Vec::with_capacity(w);
-    columns.resize_with(w, || vec![0f32; h]);
-    columns.par_iter_mut().enumerate().for_each(|(x, col)| {
-        let mut sum: f64 = 0.0;
-        for i in -(radius as isize)..=(radius as isize) {
-            sum += col_sum(x, i) as f64;
+    let src_row = |y: isize| &tmp[y.clamp(0, h as isize - 1) as usize * w..][..w];
+    let mut sums = vec![0f64; w];
+    for i in -(radius as isize)..=(radius as isize) {
+        for (s, &v) in sums.iter_mut().zip(src_row(i)) {
+            *s += v as f64;
         }
-        for (y, c) in col.iter_mut().enumerate() {
-            *c = (sum / win as f64) as f32;
-            sum += col_sum(x, y as isize + radius as isize + 1) as f64;
-            sum -= col_sum(x, y as isize - radius as isize) as f64;
-        }
-    });
-    for y in 0..h {
-        let row = out.row_mut(y);
-        for (r, col) in row.iter_mut().zip(&columns) {
-            *r = col[y];
+    }
+    for (y, dst) in out.as_mut_slice().chunks_exact_mut(w).enumerate() {
+        let add = src_row(y as isize + radius as isize + 1);
+        let sub = src_row(y as isize - radius as isize);
+        for (((d, s), &a), &b) in dst.iter_mut().zip(&mut sums).zip(add).zip(sub) {
+            *d = (*s / win as f64) as f32;
+            *s += a as f64;
+            *s -= b as f64;
         }
     }
     out
@@ -314,6 +428,134 @@ mod tests {
         let out = median_filter(&img, 1);
         assert_eq!(out.get(1, 4), 0);
         assert_eq!(out.get(6, 4), 200);
+    }
+
+    /// Deterministic bytes for the differential tests (SplitMix64).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn median3x3_is_exact_on_every_binary_window() {
+        // The radius-1 path is a network of min/max, which commutes with
+        // every threshold `v ≥ t`; by the 0-1 principle, agreeing with the
+        // majority vote on all 512 binary windows proves it exact for all
+        // u8 inputs.
+        for bits in 0u32..512 {
+            let px: Vec<u8> = (0..9)
+                .map(|i| if bits >> i & 1 == 1 { 255 } else { 0 })
+                .collect();
+            let expected = if bits.count_ones() >= 5 { 255 } else { 0 };
+            let out = median_filter(&Image::from_vec(3, 3, 1, px), 1);
+            assert_eq!(out.get(1, 1), expected, "window {bits:09b}");
+        }
+    }
+
+    #[test]
+    fn median3x3_matches_select_path_including_borders() {
+        let sides = [1usize, 2, 3, 17, 64];
+        for &w in &sides {
+            for &h in &sides {
+                for c in [1usize, 3] {
+                    let seed = (w * 1000 + h * 10 + c) as u64;
+                    let img = Image::from_vec(w, h, c, noise(w * h * c, seed));
+                    assert_eq!(
+                        median_filter(&img, 1),
+                        median_select(&img, 1),
+                        "{w}x{h}x{c}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The per-column box blur `box_blur_f32` replaced: every column
+    /// walked on its own, then transposed back into rows.
+    fn box_blur_f32_per_column(src: &Image<f32>, radius: usize) -> Image<f32> {
+        let (w, h) = src.dimensions();
+        if radius == 0 || w == 0 || h == 0 {
+            return src.clone();
+        }
+        let win = 2 * radius + 1;
+        let mut tmp = vec![0f32; w * h];
+        for (y, dst) in tmp.chunks_exact_mut(w).enumerate() {
+            let row = src.row(y);
+            let at = |x: isize| row[x.clamp(0, w as isize - 1) as usize];
+            let mut sum: f64 = 0.0;
+            for i in -(radius as isize)..=(radius as isize) {
+                sum += at(i) as f64;
+            }
+            for (x, d) in dst.iter_mut().enumerate() {
+                *d = (sum / win as f64) as f32;
+                sum += at(x as isize + radius as isize + 1) as f64;
+                sum -= at(x as isize - radius as isize) as f64;
+            }
+        }
+        let col_sum = |x: usize, y: isize| tmp[(y.clamp(0, h as isize - 1) as usize) * w + x];
+        let columns: Vec<Vec<f32>> = (0..w)
+            .map(|x| {
+                let mut sum: f64 = 0.0;
+                for i in -(radius as isize)..=(radius as isize) {
+                    sum += col_sum(x, i) as f64;
+                }
+                (0..h)
+                    .map(|y| {
+                        let v = (sum / win as f64) as f32;
+                        sum += col_sum(x, y as isize + radius as isize + 1) as f64;
+                        sum -= col_sum(x, y as isize - radius as isize) as f64;
+                        v
+                    })
+                    .collect()
+            })
+            .collect();
+        Image::from_fn(w, h, 1, |x, y| vec![columns[x][y]])
+    }
+
+    #[test]
+    fn box_blur_f32_is_bit_identical_to_per_column_walk() {
+        // 64×64 and 80×70 take the parallel horizontal pass; radius 100 is
+        // larger than every image, so the window clamps at both borders.
+        for (w, h) in [
+            (1usize, 1usize),
+            (1, 9),
+            (9, 1),
+            (13, 7),
+            (64, 64),
+            (80, 70),
+        ] {
+            let img = Image::from_vec(
+                w,
+                h,
+                1,
+                noise(w * h * 4, (w * 31 + h) as u64)
+                    .chunks_exact(4)
+                    .map(|b| {
+                        // Random sign and mantissa, exponents spanning
+                        // 2^-60..2^60: the f64 running sums round and
+                        // cancel, so any reordering shows in the f32 output.
+                        let bits = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+                        let exp = 67 + (bits >> 24) % 121;
+                        f32::from_bits((bits & 0x807f_ffff) | (exp << 23))
+                    })
+                    .collect(),
+            );
+            for radius in [1usize, 2, 5, 32, 100] {
+                let got = box_blur_f32(&img, radius);
+                let want = box_blur_f32_per_column(&img, radius);
+                let bits =
+                    |i: &Image<f32>| i.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{w}x{h} radius {radius}");
+            }
+        }
     }
 
     #[test]

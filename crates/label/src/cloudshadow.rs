@@ -35,8 +35,8 @@
 //! *thin* cloud can reach, and corrections fade smoothly at mask borders.
 
 use rayon::prelude::*;
-use seaice_imgproc::buffer::Image;
-use seaice_imgproc::color::rgb_to_hsv;
+use seaice_imgproc::buffer::{Image, Scratch};
+use seaice_imgproc::color::rgb_pixel_to_sv_int;
 use seaice_imgproc::filter::{box_blur_f32, median_filter};
 use seaice_imgproc::ops::{absdiff, min_max_normalize};
 use seaice_imgproc::threshold::{otsu_binary, threshold, ThresholdType};
@@ -145,18 +145,12 @@ impl CloudShadowFilter {
         &self.config
     }
 
-    /// Runs the filter but keeps only the corrected image, donating the
-    /// diagnostic buffers (masks and fields) to `scratch` so batch callers
-    /// reuse them for the next tile instead of freeing and reallocating.
-    pub fn apply_keep_filtered(
-        &self,
-        rgb: &Image<u8>,
-        scratch: &mut seaice_imgproc::buffer::Scratch,
-    ) -> Image<u8> {
-        let out = self.apply(rgb);
-        scratch.recycle_image(out.cloud_mask);
-        scratch.recycle_image(out.shadow_mask);
-        scratch.recycle_image(out.residual);
+    /// Runs the filter but keeps only the corrected image: the diagnostic
+    /// masks and residual are never built, and the filter's `f32` planes
+    /// come from and return to `scratch`, so batch callers reuse them for
+    /// the next tile instead of freeing and reallocating.
+    pub fn apply_keep_filtered(&self, rgb: &Image<u8>, scratch: &mut Scratch) -> Image<u8> {
+        let out = self.correct(rgb, scratch);
         scratch.recycle_image_f32(out.haze);
         scratch.recycle_image_f32(out.shadow_gain);
         out.filtered
@@ -167,178 +161,19 @@ impl CloudShadowFilter {
     /// # Panics
     /// Panics if `rgb` is not 3-channel.
     pub fn apply(&self, rgb: &Image<u8>) -> FilterOutput {
-        assert_eq!(rgb.channels(), 3, "filter expects an RGB image");
         let cfg = &self.config;
+        let Corrected {
+            filtered,
+            haze,
+            shadow_gain,
+        } = self.correct(rgb, &mut Scratch::new());
         let (w, h) = rgb.dimensions();
-
-        // 1. Noise filtering.
-        let denoised = median_filter(rgb, cfg.denoise_radius);
-
-        // 2. Per-pixel haze estimation with chroma hypotheses.
-        //
-        // Shadowed thick ice is *pixelwise indistinguishable* from hazy
-        // water (multiplicatively darkened white has the same RGB as
-        // white-haze over dark water), so pixels that are plausibly
-        // shadowed bright ice — near-achromatic at mid V — are excluded
-        // from the haze evidence pool; the smooth haze field bridges over
-        // them from unambiguous neighbours.
-        let hsv_obs = rgb_to_hsv(&denoised);
-        let mut a_weighted = Image::<f32>::new(w, h, 1);
-        let mut weight = Image::<f32>::new(w, h, 1);
-        a_weighted
-            .as_mut_slice()
-            .par_chunks_exact_mut(w.max(1))
-            .zip(weight.as_mut_slice().par_chunks_exact_mut(w.max(1)))
-            .enumerate()
-            .for_each(|(y, (a_row, w_row))| {
-                for x in 0..w {
-                    let sv = hsv_obs.pixel(x, y);
-                    if cfg.shadow_exclusion
-                        && sv[1] <= cfg.shadow_sat_max
-                        && (cfg.shadow_v.0..=cfg.shadow_v.1).contains(&sv[2])
-                    {
-                        continue; // plausibly shadowed bright ice
-                    }
-                    let px = denoised.pixel(x, y);
-                    let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
-                    let mut best: Option<(f32, f32)> = None; // (a, err)
-                    for &(rho, gamma) in &HYPOTHESES {
-                        // 8-bit rounding can push an exact zero-haze pixel
-                        // slightly negative; clamp instead of rejecting so
-                        // the correct hypothesis still competes.
-                        let a = ((r - rho * b) / (255.0 * (1.0 - rho))).max(0.0);
-                        if a > cfg.haze_cap {
-                            continue;
-                        }
-                        let g_pred = gamma * (b - 255.0 * a) + 255.0 * a;
-                        let err = (g_pred - g).abs();
-                        if best.is_none_or(|(_, e)| err < e) {
-                            best = Some((a, err));
-                        }
-                    }
-                    if let Some((a, err)) = best {
-                        if err <= cfg.consistency_tol {
-                            let conf = 1.0 - err / cfg.consistency_tol;
-                            a_row[x] = a * conf;
-                            w_row[x] = conf;
-                        }
-                    }
-                }
-            });
-
-        // 3. Smooth the field (haze varies slowly) via normalized
-        //    convolution, so confident pixels fill in degenerate ones.
-        let blur_a = box_blur_f32(&a_weighted, cfg.smooth_radius);
-        let blur_w = box_blur_f32(&weight, cfg.smooth_radius);
-        let mut haze = Image::<f32>::new(w, h, 1);
-        for (i, hz) in haze.as_mut_slice().iter_mut().enumerate() {
-            // Pooled estimate over the window (bridges degenerate pixels).
-            let pooled = if blur_w.as_slice()[i] > 0.02 {
-                (blur_a.as_slice()[i] / blur_w.as_slice()[i]).clamp(0.0, cfg.haze_cap)
-            } else {
-                0.0
-            };
-            // Confident pixels keep their own (closed-form, exact)
-            // estimate; the pooled field only fills in the rest. Without
-            // this, box smoothing dilutes cloud interiors with clear
-            // surroundings and the haze is systematically under-corrected.
-            let own_w = if cfg.confidence_blend {
-                weight.as_slice()[i].clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            let own = if own_w > 0.0 {
-                a_weighted.as_slice()[i] / own_w
-            } else {
-                0.0
-            };
-            *hz = own_w * own + (1.0 - own_w) * pooled;
-        }
-
-        // 4. Invert the haze where it is significant.
-        let mut dehazed = denoised.clone();
-        dehazed
-            .as_mut_slice()
-            .par_chunks_exact_mut(w.max(1) * 3)
-            .enumerate()
-            .for_each(|(y, row)| {
-                for x in 0..w {
-                    let a = haze.get(x, y);
-                    if a < cfg.min_haze {
-                        continue;
-                    }
-                    let inv = 1.0 / (1.0 - a);
-                    for c in row[x * 3..x * 3 + 3].iter_mut() {
-                        *c = ((*c as f32 - 255.0 * a) * inv).round().clamp(0.0, 255.0) as u8;
-                    }
-                }
-            });
-
-        // 5. Shadow pass on the dehazed image: thick-ice chroma at
-        //    mid-range V implies multiplicative darkening.
-        let hsv = rgb_to_hsv(&dehazed);
-        let mut gain_weighted = Image::<f32>::new(w, h, 1);
-        let mut gain_weight = Image::<f32>::new(w, h, 1);
-        let shadow_rows = if cfg.shadow_pass { h } else { 0 };
-        for y in 0..shadow_rows {
-            for x in 0..w {
-                let p = hsv.pixel(x, y);
-                let (s, v) = (p[1], p[2]);
-                if s <= cfg.shadow_sat_max && (cfg.shadow_v.0..=cfg.shadow_v.1).contains(&v) {
-                    // Truncated threshold on the implied gain: never above 1.
-                    let m = (v as f32 / cfg.thick_target_v).min(1.0);
-                    gain_weighted.set(x, y, m);
-                    gain_weight.set(x, y, 1.0);
-                }
-            }
-        }
-        let blur_g = box_blur_f32(&gain_weighted, cfg.smooth_radius);
-        let blur_gw = box_blur_f32(&gain_weight, cfg.smooth_radius);
-        let mut shadow_gain = Image::<f32>::new(w, h, 1);
-        for (i, sg) in shadow_gain.as_mut_slice().iter_mut().enumerate() {
-            let bw = blur_gw.as_slice()[i];
-            let pooled = if bw > 0.05 {
-                let m = (blur_g.as_slice()[i] / bw).clamp(0.25, 1.0);
-                // Fade the pooled correction with mask density so borders
-                // stay smooth: m_eff = 1 + (m - 1) * density.
-                let density = (bw * 2.0).min(1.0);
-                1.0 + (m - 1.0) * density
-            } else {
-                1.0
-            };
-            // Flagged pixels use their own implied gain (maps their V to
-            // the thick-ice reference exactly); others take the pooled,
-            // density-faded field.
-            *sg = if gain_weight.as_slice()[i] > 0.0 {
-                gain_weighted.as_slice()[i].clamp(0.25, 1.0)
-            } else {
-                pooled
-            };
-        }
-
-        let mut filtered = dehazed;
-        filtered
-            .as_mut_slice()
-            .par_chunks_exact_mut(w.max(1) * 3)
-            .enumerate()
-            .for_each(|(y, row)| {
-                for x in 0..w {
-                    let m = shadow_gain.get(x, y);
-                    if m >= 0.999 {
-                        continue;
-                    }
-                    let inv = 1.0 / m;
-                    for c in row[x * 3..x * 3 + 3].iter_mut() {
-                        *c = (*c as f32 * inv).round().clamp(0.0, 255.0) as u8;
-                    }
-                }
-            });
 
         // 6. Diagnostic masks. The haze field is normalized to 8 bits and
         //    Otsu-thresholded (adaptive split) when contamination exists.
-        let haze_u8 = haze.map(|a| (a * 255.0).round().clamp(0.0, 255.0) as u8);
         let mean_haze = haze.mean();
         let cloud_mask = if mean_haze > cfg.min_haze {
+            let haze_u8 = haze.map(|a| (a * 255.0).round().clamp(0.0, 255.0) as u8);
             let normalized = min_max_normalize(&haze_u8, 0, 255);
             let (_, mask) = otsu_binary(&normalized, 255);
             mask
@@ -368,6 +203,185 @@ impl CloudShadowFilter {
             residual,
         }
     }
+
+    /// Steps 1–5: the corrected image and the two fields it was built
+    /// from. Scratch `f32` planes are taken from and returned to `scratch`.
+    ///
+    /// # Panics
+    /// Panics if `rgb` is not 3-channel.
+    fn correct(&self, rgb: &Image<u8>, scratch: &mut Scratch) -> Corrected {
+        assert_eq!(rgb.channels(), 3, "filter expects an RGB image");
+        let cfg = &self.config;
+        let (w, h) = rgb.dimensions();
+
+        // 1. Noise filtering.
+        let mut filtered = median_filter(rgb, cfg.denoise_radius);
+
+        // 2. Per-pixel haze estimation with chroma hypotheses.
+        //
+        // Shadowed thick ice is *pixelwise indistinguishable* from hazy
+        // water (multiplicatively darkened white has the same RGB as
+        // white-haze over dark water), so pixels that are plausibly
+        // shadowed bright ice — near-achromatic at mid V — are excluded
+        // from the haze evidence pool; the smooth haze field bridges over
+        // them from unambiguous neighbours.
+        let shadow_like = |s: u8, v: u8| {
+            s <= cfg.shadow_sat_max && (cfg.shadow_v.0..=cfg.shadow_v.1).contains(&v)
+        };
+        let mut a_weighted = scratch.take_image_f32(w, h, 1);
+        let mut weight = scratch.take_image_f32(w, h, 1);
+        a_weighted
+            .as_mut_slice()
+            .par_chunks_exact_mut(w.max(1))
+            .zip(weight.as_mut_slice().par_chunks_exact_mut(w.max(1)))
+            .zip(filtered.as_slice().par_chunks_exact(w.max(1) * 3))
+            .for_each(|((a_row, w_row), rgb_row)| {
+                for ((a_out, w_out), px) in a_row.iter_mut().zip(w_row).zip(rgb_row.chunks_exact(3))
+                {
+                    let [s, v] = rgb_pixel_to_sv_int(px[0], px[1], px[2]);
+                    if cfg.shadow_exclusion && shadow_like(s, v) {
+                        continue; // plausibly shadowed bright ice
+                    }
+                    let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
+                    let mut best: Option<(f32, f32)> = None; // (a, err)
+                    for &(rho, gamma) in &HYPOTHESES {
+                        // 8-bit rounding can push an exact zero-haze pixel
+                        // slightly negative; clamp instead of rejecting so
+                        // the correct hypothesis still competes.
+                        let a = ((r - rho * b) / (255.0 * (1.0 - rho))).max(0.0);
+                        if a > cfg.haze_cap {
+                            continue;
+                        }
+                        let g_pred = gamma * (b - 255.0 * a) + 255.0 * a;
+                        let err = (g_pred - g).abs();
+                        if best.is_none_or(|(_, e)| err < e) {
+                            best = Some((a, err));
+                        }
+                    }
+                    if let Some((a, err)) = best {
+                        if err <= cfg.consistency_tol {
+                            let conf = 1.0 - err / cfg.consistency_tol;
+                            *a_out = a * conf;
+                            *w_out = conf;
+                        }
+                    }
+                }
+            });
+
+        // 3. Smooth the field (haze varies slowly) via normalized
+        //    convolution, so confident pixels fill in degenerate ones.
+        let blur_a = box_blur_f32(&a_weighted, cfg.smooth_radius);
+        let blur_w = box_blur_f32(&weight, cfg.smooth_radius);
+        let mut haze = scratch.take_image_f32(w, h, 1);
+        for (i, hz) in haze.as_mut_slice().iter_mut().enumerate() {
+            // Pooled estimate over the window (bridges degenerate pixels).
+            let pooled = if blur_w.as_slice()[i] > 0.02 {
+                (blur_a.as_slice()[i] / blur_w.as_slice()[i]).clamp(0.0, cfg.haze_cap)
+            } else {
+                0.0
+            };
+            // Confident pixels keep their own (closed-form, exact)
+            // estimate; the pooled field only fills in the rest. Without
+            // this, box smoothing dilutes cloud interiors with clear
+            // surroundings and the haze is systematically under-corrected.
+            let own_w = if cfg.confidence_blend {
+                weight.as_slice()[i].clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            let own = if own_w > 0.0 {
+                a_weighted.as_slice()[i] / own_w
+            } else {
+                0.0
+            };
+            *hz = own_w * own + (1.0 - own_w) * pooled;
+        }
+
+        // 4. Invert the haze where it is significant, and 5. flag the
+        //    dehazed pixels with thick-ice chroma at mid-range V: they imply
+        //    multiplicative darkening (shadow) with gain `V / V_thick`.
+        scratch.recycle_image_f32(a_weighted);
+        scratch.recycle_image_f32(weight);
+        let mut gain_weighted = scratch.take_image_f32(w, h, 1);
+        let mut gain_weight = scratch.take_image_f32(w, h, 1);
+        filtered
+            .as_mut_slice()
+            .par_chunks_exact_mut(w.max(1) * 3)
+            .zip(haze.as_slice().par_chunks_exact(w.max(1)))
+            .zip(gain_weighted.as_mut_slice().par_chunks_exact_mut(w.max(1)))
+            .zip(gain_weight.as_mut_slice().par_chunks_exact_mut(w.max(1)))
+            .for_each(|(((row, haze_row), g_row), gw_row)| {
+                let pixels = row.chunks_exact_mut(3).zip(haze_row);
+                for ((px, &a), (g_out, gw_out)) in pixels.zip(g_row.iter_mut().zip(gw_row)) {
+                    if a >= cfg.min_haze {
+                        let inv = 1.0 / (1.0 - a);
+                        for c in px.iter_mut() {
+                            *c = ((*c as f32 - 255.0 * a) * inv).round().clamp(0.0, 255.0) as u8;
+                        }
+                    }
+                    let [s, v] = rgb_pixel_to_sv_int(px[0], px[1], px[2]);
+                    if cfg.shadow_pass && shadow_like(s, v) {
+                        // Truncated threshold on the implied gain: never above 1.
+                        *g_out = (v as f32 / cfg.thick_target_v).min(1.0);
+                        *gw_out = 1.0;
+                    }
+                }
+            });
+        let blur_g = box_blur_f32(&gain_weighted, cfg.smooth_radius);
+        let blur_gw = box_blur_f32(&gain_weight, cfg.smooth_radius);
+        let mut shadow_gain = scratch.take_image_f32(w, h, 1);
+        for (i, sg) in shadow_gain.as_mut_slice().iter_mut().enumerate() {
+            let bw = blur_gw.as_slice()[i];
+            let pooled = if bw > 0.05 {
+                let m = (blur_g.as_slice()[i] / bw).clamp(0.25, 1.0);
+                // Fade the pooled correction with mask density so borders
+                // stay smooth: m_eff = 1 + (m - 1) * density.
+                let density = (bw * 2.0).min(1.0);
+                1.0 + (m - 1.0) * density
+            } else {
+                1.0
+            };
+            // Flagged pixels use their own implied gain (maps their V to
+            // the thick-ice reference exactly); others take the pooled,
+            // density-faded field.
+            *sg = if gain_weight.as_slice()[i] > 0.0 {
+                gain_weighted.as_slice()[i].clamp(0.25, 1.0)
+            } else {
+                pooled
+            };
+        }
+        scratch.recycle_image_f32(gain_weighted);
+        scratch.recycle_image_f32(gain_weight);
+
+        filtered
+            .as_mut_slice()
+            .par_chunks_exact_mut(w.max(1) * 3)
+            .zip(shadow_gain.as_slice().par_chunks_exact(w.max(1)))
+            .for_each(|(row, gain_row)| {
+                for (px, &m) in row.chunks_exact_mut(3).zip(gain_row) {
+                    if m >= 0.999 {
+                        continue;
+                    }
+                    let inv = 1.0 / m;
+                    for c in px.iter_mut() {
+                        *c = (*c as f32 * inv).round().clamp(0.0, 255.0) as u8;
+                    }
+                }
+            });
+
+        Corrected {
+            filtered,
+            haze,
+            shadow_gain,
+        }
+    }
+}
+
+/// The corrected image and the two fields it was built from.
+struct Corrected {
+    filtered: Image<u8>,
+    haze: Image<f32>,
+    shadow_gain: Image<f32>,
 }
 
 #[cfg(test)]
